@@ -29,13 +29,18 @@ bench: collective-bench train-bench
 bench-smoke:
 	$(GO) run ./cmd/rnabench -bench-smoke
 
-# fuzz-smoke runs each wire-protocol fuzz target for a short budget — enough
-# to cover the seeded v1 corpus (header truncations, forged fields, hello
-# garbage, parameter-server push/pull/ack frames with packed mode<<24|chunk
-# tags) plus a burst of mutations, quick enough for CI.
+# fuzz-smoke runs each fuzz target for a short budget — enough to cover its
+# seeded corpus plus a burst of mutations, quick enough for CI: the v1 wire
+# decoders (header truncations, forged fields, hello garbage,
+# parameter-server push/pull/ack frames with packed mode<<24|chunk tags),
+# the shard ownership tables, the checkpoint decoder, and the batch-major
+# MLP backprop against its frozen per-example reference.
 fuzz-smoke:
-	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 20s
-	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzReadHello -fuzztime 10s
+	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 20s
+	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzReadHello$$' -fuzztime 10s
+	$(GO) test ./internal/collective/ -run '^$$' -fuzz '^FuzzShardOffsets$$' -fuzztime 5s
+	$(GO) test ./internal/model/ -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 5s
+	$(GO) test ./internal/model/ -run '^$$' -fuzz '^FuzzMLPGradientMatchesReference$$' -fuzztime 10s
 
 # microbench runs the collective, kernel, model and engine micro-benchmarks
 # interactively.

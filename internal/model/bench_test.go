@@ -54,6 +54,18 @@ func BenchmarkModelGradientMLP(b *testing.B) {
 	benchGradient(b, m, ds.Batch(rng.New(3), benchBatch))
 }
 
+// BenchmarkModelGradientMLPWide is the MLP at the dense BSP benchmark's
+// shape: 128 features, 1024 hidden units, 8 classes, batch 8, so W1 and its
+// gradient (1 MiB each) are streamed from beyond L1 every call.
+func BenchmarkModelGradientMLPWide(b *testing.B) {
+	ds := benchDataset(b, 8, 128, 128)
+	m, err := NewMLP(ds, 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchGradient(b, m, ds.Batch(rng.New(3), 8))
+}
+
 func BenchmarkModelGradientLinReg(b *testing.B) {
 	ds, _, err := data.LinearData(rng.New(7), 64, 512, 0.1)
 	if err != nil {

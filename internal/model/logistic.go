@@ -61,13 +61,24 @@ func softmaxInPlace(z []float64) {
 	}
 }
 
+// logProb turns logits into probabilities in place and returns the log of
+// the label's probability, clamped away from zero.
+func logProb(z []float64, label int) float64 {
+	softmaxInPlace(z)
+	p := z[label]
+	if p < 1e-12 {
+		p = 1e-12
+	}
+	return math.Log(p)
+}
+
 // Loss implements Model: mean cross-entropy.
 func (m *Logistic) Loss(params tensor.Vector, batch []int) (float64, error) {
 	if len(params) != m.Dim() {
 		return 0, tensor.ErrShapeMismatch
 	}
-	if len(batch) == 0 {
-		return 0, errors.New("model: empty batch")
+	if err := checkBatch(batch, m.ds.Len()); err != nil {
+		return 0, err
 	}
 	ws := getWorkspace()
 	defer ws.release()
@@ -75,17 +86,9 @@ func (m *Logistic) Loss(params tensor.Vector, batch []int) (float64, error) {
 	probs := ws.probs
 	var loss float64
 	for _, idx := range batch {
-		if idx < 0 || idx >= m.ds.Len() {
-			return 0, fmt.Errorf("%w: %d", ErrBadBatch, idx)
-		}
 		ex := m.ds.Examples[idx]
 		m.logits(params, ex.X, probs)
-		softmaxInPlace(probs)
-		p := probs[ex.Label]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		loss -= math.Log(p)
+		loss -= logProb(probs, ex.Label)
 	}
 	return loss / float64(len(batch)), nil
 }
@@ -96,8 +99,8 @@ func (m *Logistic) Gradient(params, grad tensor.Vector, batch []int) (float64, e
 	if len(params) != m.Dim() || len(grad) != m.Dim() {
 		return 0, tensor.ErrShapeMismatch
 	}
-	if len(batch) == 0 {
-		return 0, errors.New("model: empty batch")
+	if err := checkBatch(batch, m.ds.Len()); err != nil {
+		return 0, err
 	}
 	grad.Zero()
 	f, c := m.ds.Features, m.ds.Classes
@@ -108,17 +111,9 @@ func (m *Logistic) Gradient(params, grad tensor.Vector, batch []int) (float64, e
 	var loss float64
 	inv := 1 / float64(len(batch))
 	for _, idx := range batch {
-		if idx < 0 || idx >= m.ds.Len() {
-			return 0, fmt.Errorf("%w: %d", ErrBadBatch, idx)
-		}
 		ex := m.ds.Examples[idx]
 		m.logits(params, ex.X, probs)
-		softmaxInPlace(probs)
-		p := probs[ex.Label]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		loss -= math.Log(p)
+		loss -= logProb(probs, ex.Label)
 		for k := 0; k < c; k++ {
 			delta := probs[k]
 			if k == ex.Label {
@@ -143,9 +138,6 @@ func (m *Logistic) Accuracy(params tensor.Vector, batch []int, k int) (float64, 
 	if len(params) != m.Dim() {
 		return 0, 0, tensor.ErrShapeMismatch
 	}
-	if len(batch) == 0 {
-		return 0, 0, errors.New("model: empty batch")
-	}
 	return accuracy(batch, m.ds, k, func(x tensor.Vector, scores []float64) {
 		m.logits(params, x, scores)
 	})
@@ -153,6 +145,9 @@ func (m *Logistic) Accuracy(params tensor.Vector, batch []int, k int) (float64, 
 
 // accuracy scores top-1/top-k given a scoring function.
 func accuracy(batch []int, ds *data.Dataset, k int, score func(tensor.Vector, []float64)) (float64, float64, error) {
+	if err := checkBatch(batch, ds.Len()); err != nil {
+		return 0, 0, err
+	}
 	if k < 1 {
 		k = 1
 	}
@@ -166,9 +161,6 @@ func accuracy(batch []int, ds *data.Dataset, k int, score func(tensor.Vector, []
 	scores, order := ws.probs, ws.order
 	var top1, topK int
 	for _, idx := range batch {
-		if idx < 0 || idx >= ds.Len() {
-			return 0, 0, fmt.Errorf("%w: %d", ErrBadBatch, idx)
-		}
 		ex := ds.Examples[idx]
 		score(ex.X, scores)
 		for i := range order {

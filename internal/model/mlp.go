@@ -62,104 +62,76 @@ func (m *MLP) slices(params tensor.Vector) (w1, b1, w2, b2 tensor.Vector) {
 	return w1, b1, w2, b2
 }
 
-// forward computes hidden activations and logits for one example: each unit
-// is one dot product against the example (layer 1) or the activations
-// (layer 2).
-func (m *MLP) forward(params tensor.Vector, x tensor.Vector, hid, logits []float64) {
-	f, h, c := m.ds.Features, m.hidden, m.ds.Classes
+// forward computes the hidden activations (one row per example) and the
+// logits (n × classes) of a block of n examples row-outer: each weight row
+// is loaded once and dotted against the whole block while it sits in L1
+// (layer 1 against the inputs, layer 2 against the activation rows). Every
+// unit is the same single dot product the per-example forward computes, so
+// the results are bitwise independent of the blocking.
+func (m *MLP) forward(params tensor.Vector, ws *workspace, xs [][]float64) (hidRows [][]float64, logits []float64) {
+	f, h, c, n := m.ds.Features, m.hidden, m.ds.Classes, len(xs)
 	w1, b1, w2, b2 := m.slices(params)
+	ws.hid = grow(ws.hid, n*h)
+	ws.probs = grow(ws.probs, n*c)
+	ws.dots = grow(ws.dots, n)
+	hid, logits, dots := ws.hid, ws.probs, ws.dots
 	for j := 0; j < h; j++ {
-		hid[j] = math.Tanh(b1[j] + tensor.Dot(w1[j*f:(j+1)*f], x))
+		tensor.DotN(w1[j*f:(j+1)*f], xs, dots)
+		for b, s := range dots {
+			hid[b*h+j] = math.Tanh(b1[j] + s)
+		}
 	}
+	ws.hidRows = rowsOf(ws.hidRows, hid, n, h)
 	for k := 0; k < c; k++ {
-		logits[k] = b2[k] + tensor.Dot(w2[k*h:(k+1)*h], hid)
+		tensor.DotN(w2[k*h:(k+1)*h], ws.hidRows, dots)
+		for b, s := range dots {
+			logits[b*c+k] = b2[k] + s
+		}
 	}
+	return ws.hidRows, logits
 }
 
-// Loss implements Model.
+// inputs collects the feature vectors of a batch as kernel operands.
+func (m *MLP) inputs(ws *workspace, batch []int) [][]float64 {
+	ws.xs = ws.xs[:0]
+	for _, idx := range batch {
+		ws.xs = append(ws.xs, m.ds.Examples[idx].X)
+	}
+	return ws.xs
+}
+
+// mlpLossBlock is the number of examples Loss pushes through one row-outer
+// forward: it bounds the activation workspace on full-dataset evaluations
+// while keeping each weight row's reuse high.
+const mlpLossBlock = 16
+
+// Loss implements Model. Examples run through the batched forward in
+// blocks of mlpLossBlock; the sum stays in batch order.
 func (m *MLP) Loss(params tensor.Vector, batch []int) (float64, error) {
 	if len(params) != m.Dim() {
 		return 0, tensor.ErrShapeMismatch
 	}
-	if len(batch) == 0 {
-		return 0, errors.New("model: empty batch")
+	if err := checkBatch(batch, m.ds.Len()); err != nil {
+		return 0, err
 	}
+	c := m.ds.Classes
 	ws := getWorkspace()
 	defer ws.release()
-	ws.hid = grow(ws.hid, m.hidden)
-	ws.probs = grow(ws.probs, m.ds.Classes)
-	hid, probs := ws.hid, ws.probs
 	var loss float64
-	for _, idx := range batch {
-		if idx < 0 || idx >= m.ds.Len() {
-			return 0, fmt.Errorf("%w: %d", ErrBadBatch, idx)
+	for lo := 0; lo < len(batch); lo += mlpLossBlock {
+		block := batch[lo:min(lo+mlpLossBlock, len(batch))]
+		_, probs := m.forward(params, ws, m.inputs(ws, block))
+		for b, idx := range block {
+			loss -= logProb(probs[b*c:(b+1)*c], m.ds.Examples[idx].Label)
 		}
-		ex := m.ds.Examples[idx]
-		m.forward(params, ex.X, hid, probs)
-		softmaxInPlace(probs)
-		p := probs[ex.Label]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		loss -= math.Log(p)
 	}
 	return loss / float64(len(batch)), nil
 }
 
-// Gradient implements Model (exact backprop). Row updates and the hidden
-// delta accumulation run through the fused Axpy kernel; examples accumulate
-// in batch order.
+// Gradient implements Model: exact backprop, the layered pass with no
+// emissions.
 func (m *MLP) Gradient(params, grad tensor.Vector, batch []int) (float64, error) {
-	if len(params) != m.Dim() || len(grad) != m.Dim() {
-		return 0, tensor.ErrShapeMismatch
-	}
-	if len(batch) == 0 {
-		return 0, errors.New("model: empty batch")
-	}
-	grad.Zero()
-	f, h, c := m.ds.Features, m.hidden, m.ds.Classes
-	_, _, w2, _ := m.slices(params)
-	gw1, gb1, gw2, gb2 := m.slices(grad)
-	ws := getWorkspace()
-	defer ws.release()
-	ws.hid = grow(ws.hid, h)
-	ws.probs = grow(ws.probs, c)
-	ws.deltaH = grow(ws.deltaH, h)
-	hid, probs, deltaH := ws.hid, ws.probs, ws.deltaH
-	inv := 1 / float64(len(batch))
-	var loss float64
-	for _, idx := range batch {
-		if idx < 0 || idx >= m.ds.Len() {
-			return 0, fmt.Errorf("%w: %d", ErrBadBatch, idx)
-		}
-		ex := m.ds.Examples[idx]
-		m.forward(params, ex.X, hid, probs)
-		softmaxInPlace(probs)
-		p := probs[ex.Label]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		loss -= math.Log(p)
-
-		for j := range deltaH {
-			deltaH[j] = 0
-		}
-		for k := 0; k < c; k++ {
-			d := probs[k]
-			if k == ex.Label {
-				d--
-			}
-			tensor.Axpy(gw2[k*h:(k+1)*h], d*inv, hid)
-			tensor.Axpy(deltaH, d, w2[k*h:(k+1)*h])
-			gb2[k] += d * inv
-		}
-		for j := 0; j < h; j++ {
-			dh := deltaH[j] * (1 - hid[j]*hid[j])
-			tensor.Axpy(gw1[j*f:(j+1)*f], dh*inv, ex.X)
-			gb1[j] += dh * inv
-		}
-	}
-	return loss * inv, nil
+	return m.GradientLayers(params, grad, batch, nil)
 }
 
 // mlpEmitElems is the target W1 elements per emission block (~128 KiB):
@@ -206,61 +178,65 @@ func (m *MLP) GradientBuckets() []Span {
 	return append(spans, Span{Lo: hf, Hi: hf + h}) // b1
 }
 
-// GradientLayers implements LayeredModel: the same exact backprop as
-// Gradient — per-element accumulation stays in batch order, so grad and
-// loss are bit-identical — restructured into two passes. Pass 1 runs the
-// forward and the output layer over the whole batch, stashing each
-// example's hidden activations and deltas; W2/b2 are then final and emit.
-// Pass 2 replays the stash to accumulate W1 row blocks from the top down,
-// emitting each block as it completes, with b1 last.
+// GradientLayers implements LayeredModel: exact backprop over the whole
+// batch, batch-major. The forward and the output layer run over the batch
+// first; W2/b2 are then final and emit. The W1 rows are accumulated from
+// the top block down, each row taking the whole batch's contributions
+// while it stays in L1, emitting each block as it completes, with b1
+// last. Every gradient element still sums its per-example terms in batch
+// order with per-example arithmetic, so grad and loss are bitwise the
+// per-example backprop's. A nil emit computes the plain gradient.
 func (m *MLP) GradientLayers(params, grad tensor.Vector, batch []int, emit func(layer int) error) (float64, error) {
 	if len(params) != m.Dim() || len(grad) != m.Dim() {
 		return 0, tensor.ErrShapeMismatch
 	}
-	if len(batch) == 0 {
-		return 0, errors.New("model: empty batch")
+	if err := checkBatch(batch, m.ds.Len()); err != nil {
+		return 0, err
+	}
+	if emit == nil {
+		emit = func(int) error { return nil }
 	}
 	grad.Zero()
-	f, h, c := m.ds.Features, m.hidden, m.ds.Classes
+	f, h, c, n := m.ds.Features, m.hidden, m.ds.Classes, len(batch)
 	_, _, w2, _ := m.slices(params)
 	gw1, gb1, gw2, gb2 := m.slices(grad)
 	ws := getWorkspace()
 	defer ws.release()
-	ws.hid = grow(ws.hid, h)
-	ws.probs = grow(ws.probs, c)
-	ws.deltaH = grow(ws.deltaH, h)
-	ws.stash = grow(ws.stash, 2*len(batch)*h)
-	hid, probs, deltaH := ws.hid, ws.probs, ws.deltaH
-	inv := 1 / float64(len(batch))
+	xs := m.inputs(ws, batch)
+	hidRows, probs := m.forward(params, ws, xs)
+	inv := 1 / float64(n)
 	var loss float64
-	for bi, idx := range batch {
-		if idx < 0 || idx >= m.ds.Len() {
-			return 0, fmt.Errorf("%w: %d", ErrBadBatch, idx)
+	// Output deltas, in place of the probabilities: d = p - onehot(label).
+	for b, idx := range batch {
+		label := m.ds.Examples[idx].Label
+		loss -= logProb(probs[b*c:(b+1)*c], label)
+		probs[b*c+label]--
+	}
+	// Output layer: row k of W2 takes d[b][k]/n times example b's
+	// activations, for every example in order.
+	ws.coef = grow(ws.coef, h*n)
+	coef := ws.coef
+	for k := 0; k < c; k++ {
+		ck := coef[:n]
+		for b := range ck {
+			ck[b] = probs[b*c+k] * inv
+			gb2[k] += ck[b]
 		}
-		ex := m.ds.Examples[idx]
-		m.forward(params, ex.X, hid, probs)
-		softmaxInPlace(probs)
-		p := probs[ex.Label]
-		if p < 1e-12 {
-			p = 1e-12
+		tensor.AxpyN(gw2[k*h:(k+1)*h], ck, hidRows)
+	}
+	// Hidden deltas, one example at a time, scattered into coef as the
+	// layer-1 coefficients: coef[j*n+b] is example b's scaled delta of unit j.
+	ws.w2Rows = rowsOf(ws.w2Rows, w2, c, h)
+	ws.deltaH = grow(ws.deltaH, h)
+	deltaH := ws.deltaH
+	for b := 0; b < n; b++ {
+		clear(deltaH)
+		tensor.AxpyN(deltaH, probs[b*c:(b+1)*c], ws.w2Rows)
+		hb := hidRows[b]
+		for j, dj := range deltaH {
+			dh := dj * (1 - hb[j]*hb[j])
+			coef[j*n+b] = dh * inv
 		}
-		loss -= math.Log(p)
-
-		for j := range deltaH {
-			deltaH[j] = 0
-		}
-		for k := 0; k < c; k++ {
-			d := probs[k]
-			if k == ex.Label {
-				d--
-			}
-			tensor.Axpy(gw2[k*h:(k+1)*h], d*inv, hid)
-			tensor.Axpy(deltaH, d, w2[k*h:(k+1)*h])
-			gb2[k] += d * inv
-		}
-		stash := ws.stash[bi*2*h : (bi+1)*2*h]
-		copy(stash[:h], hid)
-		copy(stash[h:], deltaH)
 	}
 	if err := emit(0); err != nil {
 		return 0, err
@@ -268,13 +244,11 @@ func (m *MLP) GradientLayers(params, grad tensor.Vector, batch []int, emit func(
 	R := m.layer1Blocks()
 	for blk := R - 1; blk >= 0; blk-- {
 		lo, hi, _ := tensor.ChunkBounds(h, R, blk)
-		for bi, idx := range batch {
-			ex := m.ds.Examples[idx]
-			stash := ws.stash[bi*2*h : (bi+1)*2*h]
-			for j := lo; j < hi; j++ {
-				dh := stash[h+j] * (1 - stash[j]*stash[j])
-				tensor.Axpy(gw1[j*f:(j+1)*f], dh*inv, ex.X)
-				gb1[j] += dh * inv
+		for j := lo; j < hi; j++ {
+			cj := coef[j*n : (j+1)*n]
+			tensor.AxpyN(gw1[j*f:(j+1)*f], cj, xs)
+			for _, v := range cj {
+				gb1[j] += v
 			}
 		}
 		if err := emit(R - blk); err != nil {
@@ -308,14 +282,11 @@ func (m *MLP) Accuracy(params tensor.Vector, batch []int, k int) (float64, float
 	if len(params) != m.Dim() {
 		return 0, 0, tensor.ErrShapeMismatch
 	}
-	if len(batch) == 0 {
-		return 0, 0, errors.New("model: empty batch")
-	}
 	ws := getWorkspace()
 	defer ws.release()
-	ws.hid = grow(ws.hid, m.hidden)
-	hid := ws.hid
 	return accuracy(batch, m.ds, k, func(x tensor.Vector, scores []float64) {
-		m.forward(params, x, hid, scores)
+		ws.xs = append(ws.xs[:0], x)
+		_, logits := m.forward(params, ws, ws.xs)
+		copy(scores, logits)
 	})
 }

@@ -23,6 +23,20 @@ import (
 // ErrBadBatch is returned when a batch index is out of range.
 var ErrBadBatch = errors.New("model: bad batch index")
 
+// checkBatch validates a batch over a dataset of n examples up front, so a
+// bad index fails a call before it writes any output.
+func checkBatch(batch []int, n int) error {
+	if len(batch) == 0 {
+		return errors.New("model: empty batch")
+	}
+	for _, idx := range batch {
+		if idx < 0 || idx >= n {
+			return fmt.Errorf("%w: %d", ErrBadBatch, idx)
+		}
+	}
+	return nil
+}
+
 // Model is a differentiable training objective over a dataset.
 //
 // Thread safety: Loss, Gradient and Accuracy must be safe to call
@@ -210,14 +224,11 @@ func (m *LinearRegression) Loss(params tensor.Vector, batch []int) (float64, err
 	if len(params) != m.Dim() {
 		return 0, tensor.ErrShapeMismatch
 	}
-	if len(batch) == 0 {
-		return 0, errors.New("model: empty batch")
+	if err := checkBatch(batch, m.ds.Len()); err != nil {
+		return 0, err
 	}
 	var loss float64
 	for _, idx := range batch {
-		if idx < 0 || idx >= m.ds.Len() {
-			return 0, fmt.Errorf("%w: %d", ErrBadBatch, idx)
-		}
 		ex := m.ds.Examples[idx]
 		r := m.predict(params, ex.X) - ex.Target
 		loss += 0.5 * r * r
@@ -231,17 +242,14 @@ func (m *LinearRegression) Gradient(params, grad tensor.Vector, batch []int) (fl
 	if len(params) != m.Dim() || len(grad) != m.Dim() {
 		return 0, tensor.ErrShapeMismatch
 	}
-	if len(batch) == 0 {
-		return 0, errors.New("model: empty batch")
+	if err := checkBatch(batch, m.ds.Len()); err != nil {
+		return 0, err
 	}
 	grad.Zero()
 	var loss float64
 	inv := 1 / float64(len(batch))
 	gw := grad[:m.ds.Features]
 	for _, idx := range batch {
-		if idx < 0 || idx >= m.ds.Len() {
-			return 0, fmt.Errorf("%w: %d", ErrBadBatch, idx)
-		}
 		ex := m.ds.Examples[idx]
 		r := m.predict(params, ex.X) - ex.Target
 		loss += 0.5 * r * r

@@ -13,18 +13,28 @@ type workspace struct {
 	hid    []float64
 	probs  []float64
 	deltaH []float64
-	order  []int
-	// stash holds the layered backward pass's per-example activations and
-	// deltas (batch × 2·hidden), so the second (layer-1) pass replays them
-	// without recomputing the forward.
-	stash []float64
+	dots   []float64
+	// coef holds the MLP backward's per-example coefficients: one output
+	// row's scaled deltas, then the layer-1 scaled deltas (hidden × batch).
+	coef  []float64
+	order []int
+	// xs, hidRows and w2Rows are the operand lists of the multi-operand
+	// kernels: the batch's inputs, its activation rows and the W2 rows.
+	xs, hidRows, w2Rows [][]float64
 }
 
 var wsPool = sync.Pool{New: func() any { return &workspace{} }}
 
 func getWorkspace() *workspace { return wsPool.Get().(*workspace) }
 
-func (ws *workspace) release() { wsPool.Put(ws) }
+// release returns ws to the pool, first dropping the operand lists'
+// references into caller-owned inputs and parameters so a pooled
+// workspace never keeps them alive.
+func (ws *workspace) release() {
+	clear(ws.xs[:cap(ws.xs)])
+	clear(ws.w2Rows[:cap(ws.w2Rows)])
+	wsPool.Put(ws)
+}
 
 // grow returns buf resized to n elements, reallocating only when capacity
 // is insufficient.
@@ -41,4 +51,14 @@ func growInts(buf []int, n int) []int {
 		return buf[:n]
 	}
 	return make([]int, n)
+}
+
+// rowsOf returns buf filled with the n consecutive rows of length cols
+// that make up m.
+func rowsOf(buf [][]float64, m []float64, n, cols int) [][]float64 {
+	buf = buf[:0]
+	for r := 0; r < n; r++ {
+		buf = append(buf, m[r*cols:(r+1)*cols])
+	}
+	return buf
 }

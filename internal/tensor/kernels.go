@@ -147,3 +147,92 @@ func dotVec(a, b []float64) float64 {
 	}
 	return s
 }
+
+// Multi-operand kernels. The batch-major model backprop applies one row to
+// a whole block of examples while the row is hot in L1: DotN dots one row
+// against many vectors, AxpyN accumulates many scaled vectors into one row.
+// Each output keeps exactly the arithmetic of the single-operand kernel it
+// replaces — dotVec's four lanes and final fold per output, and AxpyN's
+// terms applied one after another per element — so both are bitwise equal
+// to the repeated Dot/Axpy calls; they only load the shared row once per
+// block of operands instead of once per operand.
+
+// DotN writes out[t] = Dot(a, vs[t]) for every operand t, two operands per
+// pass over a. Every vs[t] must be at least as long as a, and out at least
+// as long as vs.
+func DotN(a []float64, vs [][]float64, out []float64) {
+	out = out[:len(vs)]
+	t := 0
+	for ; t+2 <= len(vs); t += 2 {
+		out[t], out[t+1] = dot2Vec(a, vs[t], vs[t+1])
+	}
+	if t < len(vs) {
+		out[t] = dotVec(a, vs[t])
+	}
+}
+
+// dot2Vec returns (dotVec(a, x), dotVec(a, y)) with a loaded once: each
+// output has its own four lanes, folded exactly as dotVec folds them. The
+// capped four-element windows let the compiler drop every bounds check in
+// the body.
+func dot2Vec(a, x, y []float64) (float64, float64) {
+	x = x[:len(a)]
+	y = y[:len(a)]
+	var s0, s1, s2, s3, t0, t1, t2, t3 float64
+	i := 0
+	for ; i < len(a)-3; i += 4 {
+		ab := a[i : i+4 : i+4]
+		xb := x[i : i+4 : i+4]
+		yb := y[i : i+4 : i+4]
+		s0 += ab[0] * xb[0]
+		s1 += ab[1] * xb[1]
+		s2 += ab[2] * xb[2]
+		s3 += ab[3] * xb[3]
+		t0 += ab[0] * yb[0]
+		t1 += ab[1] * yb[1]
+		t2 += ab[2] * yb[2]
+		t3 += ab[3] * yb[3]
+	}
+	s := (s0 + s1) + (s2 + s3)
+	u := (t0 + t1) + (t2 + t3)
+	for ; i < len(a); i++ {
+		s += a[i] * x[i]
+		u += a[i] * y[i]
+	}
+	return s, u
+}
+
+// AxpyN computes a[i] += c[t]*vs[t][i] for t = 0, 1, ..., len(vs)-1 in
+// that order — bitwise the same as calling Axpy(a, c[t], vs[t]) for each t
+// in turn — loading and storing a once per block of eight operands; the
+// operands past the last full block go through Axpy one at a time. Every
+// vs[t] must be at least as long as a, and c at least as long as vs.
+func AxpyN(a []float64, c []float64, vs [][]float64) {
+	c = c[:len(vs)]
+	t := 0
+	for ; t+8 <= len(vs); t += 8 {
+		axpy8Vec(a, c[t:t+8], vs[t:t+8])
+	}
+	for ; t < len(vs); t++ {
+		axpyVec(a, c[t], vs[t])
+	}
+}
+
+// axpy8Vec applies eight AxpyN terms in order per element, with a[i] kept
+// in a register across them.
+func axpy8Vec(a []float64, c []float64, vs [][]float64) {
+	c, vs = c[:8], vs[:8]
+	c0, c1, c2, c3, c4, c5, c6, c7 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+	v0, v1, v2, v3 := vs[0][:len(a)], vs[1][:len(a)], vs[2][:len(a)], vs[3][:len(a)]
+	v4, v5, v6, v7 := vs[4][:len(a)], vs[5][:len(a)], vs[6][:len(a)], vs[7][:len(a)]
+	for i := range a {
+		s := a[i] + c0*v0[i]
+		s += c1 * v1[i]
+		s += c2 * v2[i]
+		s += c3 * v3[i]
+		s += c4 * v4[i]
+		s += c5 * v5[i]
+		s += c6 * v6[i]
+		a[i] = s + c7*v7[i]
+	}
+}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -82,6 +83,61 @@ func TestDotMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestMultiOperandKernelsMatchRepeated: DotN and AxpyN are bitwise equal
+// to the repeated Dot and Axpy calls they replace, for every unroll tail of
+// the row length and for odd and even operand counts that fall short of,
+// fill and overflow the operand blocks.
+func TestMultiOperandKernelsMatchRepeated(t *testing.T) {
+	type testCase struct {
+		name     string
+		length   int // row length
+		operands int
+	}
+	var testCases []testCase
+	lengths := []int{127, 128, 129}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, k := range []int{0, 1, 2, 3, 5, 7, 8, 9, 11, 16, 17} {
+			testCases = append(testCases, testCase{fmt.Sprintf("len%d/operands%d", n, k), n, k})
+		}
+	}
+
+	rng := rand.New(rand.NewSource(13))
+	for _, tc := range testCases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := randVec(rng, tc.length)
+			vs := make([][]float64, tc.operands)
+			c := make([]float64, tc.operands)
+			for i := range vs {
+				vs[i] = randVec(rng, tc.length+i%2) // operands may be longer than a
+				c[i] = rng.Float64() - 0.5
+			}
+
+			dots := make([]float64, tc.operands)
+			DotN(a, vs, dots)
+			for i, v := range vs {
+				if got, want := dots[i], Dot(a, v); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("DotN operand %d = %v, Dot gives %v", i, got, want)
+				}
+			}
+
+			got := a.Clone()
+			AxpyN(got, c, vs)
+			want := a.Clone()
+			for i, v := range vs {
+				Axpy(want, c[i], v)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("AxpyN element %d = %v, repeated Axpy gives %v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTensorKernels covers the hot kernels the ring, accumulator, and
 // optimizer lean on.
 func BenchmarkTensorKernels(b *testing.B) {
@@ -114,5 +170,44 @@ func BenchmarkTensorKernels(b *testing.B) {
 			sink += dotVec(x, y)
 		}
 		_ = sink
+	})
+	// The model's batch-major backprop shapes: one 128-wide row against a
+	// block of 8 examples, as 8 single-operand calls and as one
+	// multi-operand call.
+	const row, ops = 128, 8
+	a := randVec(rng, row)
+	vs := make([][]float64, ops)
+	for i := range vs {
+		vs[i] = randVec(rng, row)
+	}
+	c := randVec(rng, ops)
+	out := make([]float64, ops)
+	b.Run("DotRepeated", func(b *testing.B) {
+		b.SetBytes(row * ops * 8)
+		for i := 0; i < b.N; i++ {
+			for t, v := range vs {
+				out[t] = dotVec(a, v)
+			}
+		}
+	})
+	b.Run("DotN", func(b *testing.B) {
+		b.SetBytes(row * ops * 8)
+		for i := 0; i < b.N; i++ {
+			DotN(a, vs, out)
+		}
+	})
+	b.Run("AxpyRepeated", func(b *testing.B) {
+		b.SetBytes(row * ops * 8)
+		for i := 0; i < b.N; i++ {
+			for t, v := range vs {
+				axpyVec(a, c[t]*1e-9, v)
+			}
+		}
+	})
+	b.Run("AxpyN", func(b *testing.B) {
+		b.SetBytes(row * ops * 8)
+		for i := 0; i < b.N; i++ {
+			AxpyN(a, c, vs)
+		}
 	})
 }
