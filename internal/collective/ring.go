@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -329,6 +330,13 @@ type ringSender struct {
 	// releasing instead of sending after a failure — so the array is all
 	// nil again when the sender parks.
 	fwd [][]float64
+	// abort is set by the receiver before it tops the gate up after a
+	// failure. Every slot the receiver never reached is nil, and sending v
+	// in its place would hand peers raw data under a valid tag, which they
+	// would reduce as a partial sum and return nil with wrong values. Once
+	// abort is set the sender releases buffers without sending. It is
+	// cleared before the next job is submitted.
+	abort atomic.Bool
 	// oneShot senders (rings wider than gateCap/2+1 ranks) are not
 	// returned to the free list; their goroutine exits after the job.
 	oneShot bool
@@ -398,10 +406,11 @@ func (s *ringSender) loop() {
 }
 
 // run executes one collective's send side. It consumes exactly job.steps
-// gate tokens and every fwd slot no matter what: after a send failure it
-// keeps draining tokens and releases deposited buffers without sending, so
-// the sender, its channels, and its fwd array are clean for reuse. The
-// receiver guarantees all job.steps tokens are eventually issued.
+// gate tokens and every fwd slot no matter what: after a send failure or a
+// receiver abort it keeps draining tokens and releases deposited buffers
+// without sending, so the sender, its channels, and its fwd array are clean
+// for reuse. The receiver guarantees all job.steps tokens are eventually
+// issued.
 func (s *ringSender) run(job ringJob) error {
 	left := (job.rank + 1) % job.n
 	var firstErr error
@@ -413,7 +422,7 @@ func (s *ringSender) run(job ringJob) error {
 			slot := st*job.segs + k
 			buf := s.fwd[slot]
 			s.fwd[slot] = nil
-			if firstErr != nil {
+			if firstErr != nil || s.abort.Load() {
 				transport.PutPayload(buf)
 				continue
 			}
@@ -503,12 +512,15 @@ func ringAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, s
 			s.fwd[k] = buf
 		}
 	}
+	s.abort.Store(false)
 	s.jobs <- ringJob{m: m, iter: iter, v: v, n: n, rank: rank, segs: K, steps: steps, wire: wire}
 	pushed := 0
-	// fail tears the pipeline down on a receive-side failure: top the gate
-	// up to the full token count so the sender drains and parks, and join
-	// it so no goroutine references v when the call returns.
+	// fail tears the pipeline down on a receive-side failure: abort the
+	// sender's remaining sends, top the gate up to the full token count so
+	// it drains and parks, and join it so no goroutine references v when
+	// the call returns.
 	fail := func(err error) error {
+		s.abort.Store(true)
 		for ; pushed < steps; pushed++ {
 			s.gate <- struct{}{}
 		}

@@ -126,3 +126,58 @@ func TestRingSegmentedRepeated(t *testing.T) {
 		}
 	}
 }
+
+// deadPeerMesh makes one rank look dead to its peers: every Recv from the
+// victim fails at once, and every Send to it is dropped.
+type deadPeerMesh struct {
+	transport.Mesh
+	victim int
+}
+
+func (m deadPeerMesh) Recv(from int) (transport.Message, error) {
+	if from == m.victim {
+		return transport.Message{}, transport.ErrClosed
+	}
+	return m.Mesh.Recv(from)
+}
+
+func (m deadPeerMesh) Send(to int, msg transport.Message) error {
+	if to == m.victim {
+		return nil
+	}
+	return m.Mesh.Send(to, msg)
+}
+
+// TestRingDeadPeerNeverReturnsNil: when a rank's first receive fails, its
+// sender must not push un-reduced chunks under valid tags to the next rank,
+// which would accept them as partial sums and return nil with wrong values.
+// Rank 2 is dead; rank 0 (receiving from it) fails at once and returns
+// before the fabric closes, so every message it ever sends to rank 1 is
+// queued by then. Rank 1 must end with an error, not nil.
+func TestRingDeadPeerNeverReturnsNil(t *testing.T) {
+	const n, victim, dim = 3, 2, 4096
+	for _, segments := range []int{0, 1, 3} {
+		net, err := transport.NewLocalNetwork(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps := net.Endpoints()
+		run := func(rank int) chan error {
+			done := make(chan error, 1)
+			go func() {
+				v := tensor.New(dim)
+				v.Fill(float64(rank + 1))
+				done <- RingAllReduceSegmented(deadPeerMesh{eps[rank], victim}, 0, v, OpSum, segments)
+			}()
+			return done
+		}
+		done0, done1 := run(0), run(1)
+		if err := <-done0; err == nil {
+			t.Fatalf("segments %d: rank 0 returned nil after its receive failed", segments)
+		}
+		_ = net.Close()
+		if err := <-done1; err == nil {
+			t.Fatalf("segments %d: rank 1 returned nil with a dead peer in the ring", segments)
+		}
+	}
+}

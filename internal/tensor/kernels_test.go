@@ -53,7 +53,7 @@ func TestKernelsMatchScalar(t *testing.T) {
 			if got, want := scale[i], a[i]*c; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("scaleVec n=%d i=%d: got %v, want %v", n, i, got, want)
 			}
-			if got, want := axpy[i], a[i]+c*b[i]; math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := axpy[i], a[i]+float64(c*b[i]); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("axpyVec n=%d i=%d: got %v, want %v", n, i, got, want)
 			}
 			if got, want := avg[i], (a[i]+b[i])/2; math.Float64bits(got) != math.Float64bits(want) {
@@ -63,22 +63,37 @@ func TestKernelsMatchScalar(t *testing.T) {
 	}
 }
 
+// dotLanes is dotVec's arithmetic written out: lane i%4 sums the products of
+// the four-element body, the lanes fold as (s0+s1)+(s2+s3), and the tail
+// products are added to that in order. The float64() conversions keep the
+// compiler from fusing a product into its sum.
+func dotLanes(a, b []float64) float64 {
+	var lanes [4]float64
+	body := len(a) - len(a)%4
+	for i := 0; i < body; i++ {
+		lanes[i%4] += float64(a[i] * b[i])
+	}
+	s := (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+	for i := body; i < len(a); i++ {
+		s += float64(a[i] * b[i])
+	}
+	return s
+}
+
+// TestDotMatchesScalar pins Dot and the portable dotVec, bit for bit, to
+// the explicit four-lane reference: the lane assignment and the fold are
+// part of the contract every gradient digest depends on.
 func TestDotMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 1000, 4097} {
 		a := randVec(rng, n)
 		b := randVec(rng, n)
-		var want, scale float64
-		for i := 0; i < n; i++ {
-			want += a[i] * b[i]
-			scale += math.Abs(a[i] * b[i])
+		want := dotLanes(a, b)
+		if got := Dot(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Dot n=%d: got %v, want %v", n, got, want)
 		}
-		got := dotVec(a, b)
-		// The 4-accumulator sum reassociates, so compare with a tolerance
-		// proportional to the magnitude of the terms.
-		tol := 1e-12 * (scale + 1)
-		if math.Abs(got-want) > tol {
-			t.Fatalf("dotVec n=%d: got %v, want %v (tol %v)", n, got, want, tol)
+		if got := dotVecGeneric(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("dotVecGeneric n=%d: got %v, want %v", n, got, want)
 		}
 	}
 }
@@ -210,4 +225,57 @@ func BenchmarkTensorKernels(b *testing.B) {
 			AxpyN(a, c, vs)
 		}
 	})
+	b.Run("Twin", benchKernelTwins)
+}
+
+// benchSink keeps benchmarked results live.
+var benchSink float64
+
+// benchKernelTwins times each kernel with an assembly implementation
+// against its portable twin at a short row, the model's 128-wide row and
+// the dense benchmark's 140296 parameters (MomentumStep there is one
+// optimizer step of that workload). The asm cases are skipped where the
+// assembly does not build (off amd64, -race).
+func benchKernelTwins(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	impls := []struct {
+		name   string
+		asm    bool
+		dot    func(a, b []float64) float64
+		dot2   func(a, x, y []float64) (float64, float64)
+		axpy   func(a []float64, c float64, b []float64)
+		axpy8  func(a []float64, c []float64, vs [][]float64)
+		moment func(params, vel, grad []float64, mu, wd, lr float64)
+	}{
+		{"asm", true, dotVec, dot2Vec, axpyVec, axpy8Vec, momentumVec},
+		{"portable", false, dotVecGeneric, dot2VecGeneric, axpyVecGeneric, axpy8VecGeneric, momentumVecGeneric},
+	}
+	for _, n := range []int{16, 128, 140296} {
+		a, x, y := randVec(rng, n), randVec(rng, n), randVec(rng, n)
+		vs := make([][]float64, 8)
+		for i := range vs {
+			vs[i] = randVec(rng, n)
+		}
+		c := randVec(rng, 8)
+		c.Scale(1e-9) // keep a bounded over many iterations
+		vel := randVec(rng, n)
+		for _, impl := range impls {
+			run := func(kernel string, bytes int, body func()) {
+				b.Run(fmt.Sprintf("%s/len%d/%s", kernel, n, impl.name), func(b *testing.B) {
+					if impl.asm && !asmKernels {
+						b.Skip("no assembly kernels in this build")
+					}
+					b.SetBytes(int64(bytes))
+					for i := 0; i < b.N; i++ {
+						body()
+					}
+				})
+			}
+			run("Dot", 16*n, func() { benchSink = impl.dot(a, x) })
+			run("Dot2", 24*n, func() { benchSink, _ = impl.dot2(a, x, y) })
+			run("Axpy", 24*n, func() { impl.axpy(a, 1e-9, x) })
+			run("Axpy8", 80*n, func() { impl.axpy8(a, c, vs) })
+			run("MomentumStep", 40*n, func() { impl.moment(a, vel, x, 0.9, 1e-4, 1e-3) })
+		}
+	}
 }
