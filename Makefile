@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet vet-portable build test race bench bench-smoke fuzz-smoke microbench calibrate collective-bench train-bench check
+.PHONY: all vet vet-portable build test race bench bench-smoke fuzz-smoke microbench calibrate collective-bench train-bench check perfbench-test
 
 all: vet build test
 
@@ -26,6 +26,13 @@ race:
 # portable kernels), full build, race-enabled tests (which run the portable
 # kernels on amd64 too).
 check: vet vet-portable build race
+
+# perfbench-test vets and tests the end-to-end benchmark, a separate Go
+# module that `go test ./...` at the root does not reach. Its tests include
+# the traced-equals-untraced dense-bsp-mem digest check, the end-to-end
+# guard that BSP training stays bitwise deterministic.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench refreshes both machine-readable benchmark reports
 # (BENCH_collective.json and BENCH_train.json).
@@ -53,7 +60,10 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz '^FuzzKernelsMatchPortable$$' -fuzztime 10s
 
 # microbench runs the collective, kernel (assembly and portable), optimizer,
-# model and engine micro-benchmarks interactively.
+# model and engine micro-benchmarks interactively. The BenchmarkRingAllReduce
+# pattern also selects BenchmarkRingAllReduceStep: one BSP synchronization at
+# the dense-bsp-mem shape, replicated AllReduce-then-step vs the fused ring
+# step.
 microbench:
 	$(GO) test -run xxx -bench 'BenchmarkRingAllReduce|BenchmarkPartialRingAllReduce' -benchmem ./internal/collective/
 	$(GO) test -run xxx -bench BenchmarkTensorKernels -benchmem ./internal/tensor/

@@ -97,8 +97,13 @@ func shardTrainConfig(sharded bool, iters int) (core.TrainConfig, error) {
 		StalenessBound: 2,
 		Seed:           42,
 		Adam:           true,
-		Algorithm:      collective.AlgoRing, // same schedule on both paths
-		ShardedUpdate:  sharded,
+		// Pinned, not auto: a pinned schedule never fuses the optimizer
+		// step into the ring (core.TrainConfig.Algorithm), so the
+		// "replicated" row keeps stepping the full vector on every rank
+		// and gate_sharded_adam_speedup keeps comparing sharded against a
+		// genuinely replicated update, on the same ring on both paths.
+		Algorithm:     collective.AlgoRing,
+		ShardedUpdate: sharded,
 	}, nil
 }
 

@@ -181,6 +181,55 @@ func AllReduceOpts(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, o
 	}
 }
 
+// OwnerStep is the owner-update stage of RingAllReduceStep: it updates
+// params from the averaged grad, both the same owned span. An element-wise
+// optimizer (opt.SGD, opt.Adam) built over that span only is exactly the
+// matching slice of a full-vector one.
+type OwnerStep func(params, grad tensor.Vector) error
+
+// RingStepEligible reports whether AllReduceOpts(m, iter, v, OpAverage,
+// opts) on n ranks and elems elements runs the pipelined fp64 ring — auto
+// selection, no residual, no top-k, neither the multi-level nor the inline
+// schedule — so RingAllReduceStep can replace it plus a full-vector
+// optimizer step bit for bit. A pinned Algorithm is never eligible: pinning
+// keeps the replicated update. Every input is SPMD-agreed (the cost model
+// is process-wide and shared), so all ranks decide alike.
+func RingStepEligible(n, elems int, opts Options) bool {
+	if n < 2 || elems < n || opts.Algorithm != AlgoAuto || opts.Compression != tensor.F64 ||
+		opts.Residual != nil || opts.TopK != 0 || ringInlineEligible(n, elems) {
+		return false
+	}
+	cm := ActiveCostModel()
+	return cm.SelectLevels(n, elems, tensor.F64) == nil && cm.SelectWire(n, elems, tensor.F64) == AlgoRing
+}
+
+// RingStepSpan returns the span [lo, hi) of an elems-long vector whose
+// optimizer step rank runs inside RingAllReduceStep on n ranks: the chunk
+// it owns after the scatter-reduce, (rank+1) mod n.
+func RingStepSpan(n, rank, elems int) (lo, hi int) {
+	lo, hi, _ = tensor.ChunkBounds(elems, n, mod(rank+1, n))
+	return lo, hi
+}
+
+// RingAllReduceStep averages grad across all ranks of m with the pipelined
+// ring and fuses the optimizer update into it: after the scatter-reduce the
+// owner runs step on its RingStepSpan — params[lo:hi] from the averaged
+// grad[lo:hi] — and the gather circulates the updated parameters, so every
+// rank ends with identical params while stepping only 1/N of them. grad is
+// clobbered (only the own span holds the average afterwards). All ranks
+// must pass the same iter and vector lengths; gate the call on
+// RingStepEligible to keep results bit-identical to AllReduceOpts followed
+// by a full-vector step.
+func RingAllReduceStep(m transport.Mesh, iter int64, grad, params tensor.Vector, step OwnerStep) error {
+	if len(params) != len(grad) {
+		return fmt.Errorf("%w: params %d elems, grad %d", tensor.ErrShapeMismatch, len(params), len(grad))
+	}
+	if m.Size() == 1 {
+		return step(params, grad)
+	}
+	return ringPipelined(m, iter, grad, OpAverage, 0, tensor.F64, nil, params, step)
+}
+
 // multiLevelOpts runs the cached multi-level engine for plan, stripping the
 // Algorithm pin so the within-level dispatch re-selects per level size.
 func multiLevelOpts(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, opts Options, plan *topology.Plan) error {

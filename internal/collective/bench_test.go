@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/collective"
+	"repro/internal/opt"
 	"repro/internal/tensor"
 	"repro/internal/topology"
 	"repro/internal/transport"
@@ -53,6 +54,85 @@ func BenchmarkRingAllReduce(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkRingAllReduceStep measures one BSP synchronization at the
+// dense-bsp-mem shape (4 ranks, 140296 parameters, momentum SGD, in
+// memory): "replicated" averages with AllReduceOpts and steps the full
+// vector on every rank; "fused" runs RingAllReduceStep, where each owner
+// steps its chunk inside the ring and the gather circulates parameters.
+// Rank goroutines persist across iterations, so the steady state reports
+// the collectives' own allocations: 0 allocs/op.
+func BenchmarkRingAllReduceStep(b *testing.B) {
+	const n, dim = 4, 140296
+	for _, fused := range []bool{false, true} {
+		name := "replicated"
+		if fused {
+			name = "fused"
+		}
+		b.Run(fmt.Sprintf("%s/n%d/dim%d", name, n, dim), func(b *testing.B) {
+			net, err := transport.NewLocalNetwork(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = net.Close() }()
+			eps := net.Endpoints()
+			start := make([]chan int64, n)
+			done := make(chan error, n)
+			for r, m := range eps {
+				lo, hi := 0, dim
+				if fused {
+					lo, hi = collective.RingStepSpan(n, r, dim)
+				}
+				sgd, err := opt.NewSGD(hi-lo, 0.005, 0.9, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				step := func(p, g tensor.Vector) error {
+					_, err := sgd.Step(p, g, 1)
+					return err
+				}
+				grad, params := tensor.New(dim), tensor.New(dim)
+				start[r] = make(chan int64)
+				go func(m transport.Mesh, iters chan int64) {
+					for it := range iters {
+						grad.Fill(1e-3)
+						if fused {
+							done <- collective.RingAllReduceStep(m, it, grad, params, step)
+							continue
+						}
+						err := collective.AllReduceOpts(m, it, grad, collective.OpAverage, collective.Options{})
+						if err == nil {
+							err = step(params, grad)
+						}
+						done <- err
+					}
+				}(m, start[r])
+			}
+			defer func() {
+				for _, c := range start {
+					close(c)
+				}
+			}()
+			syncAll := func(it int64) {
+				for _, c := range start {
+					c <- it
+				}
+				for range eps {
+					if err := <-done; err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			syncAll(-1) // warm the payload pool and the sender free list
+			b.SetBytes(int64(dim * 8))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				syncAll(int64(i))
+			}
+		})
 	}
 }
 

@@ -47,6 +47,18 @@ import (
 // gathered chunks circulate pre-averaged and the final full-vector Scale
 // pass disappears.
 //
+// Owner-update stage (RingAllReduceStep). The owner's completed chunk is
+// also the only place an optimizer step needs to run: every other rank
+// would compute the same bits from the same averaged gradient and the same
+// state slice. With an owner step the engine calls it on that chunk right
+// after the scale — params[lo:hi] from grad[lo:hi], still in cache — and
+// the gather phase then circulates the updated PARAMETERS: the step-(n−1)
+// send sources from params and gather hops write into params. Each rank
+// steps 1/N of the model and keeps optimizer state for that span only; the
+// fp64 gather moves bits verbatim, so every rank ends with the parameters
+// the replicated AllReduce-then-step would produce. A step error tears the
+// ring down like a receive failure.
+//
 // Sender goroutines and their channels are kept on a free list and reused
 // across calls, so a steady-state collective performs zero allocations:
 // payload buffers come from the transport pool, rotate through the ring, and
@@ -301,8 +313,10 @@ func sendChunkIndex(rank, n, s int) int {
 
 // ringJob describes one collective's send schedule to a ringSender.
 type ringJob struct {
-	m     transport.Mesh
-	iter  int64
+	m    transport.Mesh
+	iter int64
+	// v is the gather-phase vector: the step-(n−1) send of the own chunk
+	// sources from it (the reduced vector, or params under an owner step).
 	v     tensor.Vector
 	n     int
 	rank  int
@@ -446,8 +460,9 @@ func (s *ringSender) run(job ringJob) error {
 				err = transport.SendOwned(job.m, left, msg)
 			} else {
 				// Only the own-chunk gather send (step n−1) sources from
-				// v: that chunk is complete, gated, and never written
-				// again. Send copies, so v stays live for the receiver.
+				// job.v: that chunk is complete (stepped, under an owner
+				// step), gated, and never written again. Send copies, so
+				// job.v stays live for the receiver.
 				ss, se, _ := tensor.ChunkBounds(ce-cs, job.segs, k)
 				msg.Payload = job.v[cs+ss : cs+se]
 				err = job.m.Send(left, msg)
@@ -479,6 +494,16 @@ func ringAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, s
 	if segments <= 0 && wire == tensor.F64 && ringInlineEligible(n, len(v)) {
 		return ringAllReduceInline(m, iter, v, op)
 	}
+	return ringPipelined(m, iter, v, op, segments, wire, residual, v, nil)
+}
+
+// ringPipelined runs the pipelined ring. The scatter phase reduces into v;
+// the gather phase writes into out, which is v itself for a plain
+// AllReduce. A non-nil step is the owner-update stage: it runs on the own
+// chunk right after the owner scale, as step(out[lo:hi], v[lo:hi]), so out
+// then gathers the stepped values.
+func ringPipelined(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, segments int, wire tensor.Dtype, residual, out tensor.Vector, step OwnerStep) error {
+	n := m.Size()
 	rank := m.Rank()
 	right := (rank - 1 + n) % n
 	if segments <= 0 {
@@ -513,12 +538,12 @@ func ringAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, s
 		}
 	}
 	s.abort.Store(false)
-	s.jobs <- ringJob{m: m, iter: iter, v: v, n: n, rank: rank, segs: K, steps: steps, wire: wire}
+	s.jobs <- ringJob{m: m, iter: iter, v: out, n: n, rank: rank, segs: K, steps: steps, wire: wire}
 	pushed := 0
-	// fail tears the pipeline down on a receive-side failure: abort the
-	// sender's remaining sends, top the gate up to the full token count so
-	// it drains and parks, and join it so no goroutine references v when
-	// the call returns.
+	// fail tears the pipeline down on a receive-side or owner-step
+	// failure: abort the sender's remaining sends, top the gate up to the
+	// full token count so it drains and parks, and join it so no goroutine
+	// references v when the call returns.
 	fail := func(err error) error {
 		s.abort.Store(true)
 		for ; pushed < steps; pushed++ {
@@ -558,6 +583,9 @@ func ringAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, s
 			}
 			ss, se, _ := tensor.ChunkBounds(ce-cs, K, k)
 			seg := v[cs+ss : cs+se]
+			if st >= n-1 {
+				seg = out[cs+ss : cs+se]
+			}
 			switch {
 			case st < n-2:
 				// Intermediate scatter hop: fold v into the rotating
@@ -612,6 +640,13 @@ func ringAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, s
 					} else {
 						tensor.RoundTrip(wire, seg)
 					}
+				}
+			}
+			if step != nil {
+				// The next gate token orders these params writes before
+				// the sender's step-(n−1) read of the same span.
+				if err := step(out[ocs:oce], v[ocs:oce]); err != nil {
+					return fail(fmt.Errorf("ring owner step: %w", err))
 				}
 			}
 		}

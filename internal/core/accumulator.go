@@ -32,10 +32,11 @@ type Accumulator struct {
 	iters   []int64
 	dropped int64
 
-	// weights is the scratch for Take's local reduction; free recycles
-	// the per-Put gradient copies so a steady-state worker stops
-	// allocating one dim-sized vector per iteration.
+	// weights is the scratch for Take's local reduction and out its
+	// result; free recycles the per-Put gradient copies, so a steady-state
+	// worker allocates no dim-sized vector per iteration.
 	weights []float64
+	out     tensor.Vector
 	free    []tensor.Vector
 }
 
@@ -94,7 +95,9 @@ func (a *Accumulator) Dropped() int64 {
 // entries (current − iter ≥ bound) are dropped, the survivors are combined
 // with the paper's weights w_t = t − (current − τ) + 1 where τ is the
 // largest surviving gap, and the buffer is reset. ok is false when nothing
-// survives — the worker then contributes a null gradient.
+// survives — the worker then contributes a null gradient. The returned
+// vector is the accumulator's own output buffer: the caller may modify it,
+// and it stays valid until the next Take.
 func (a *Accumulator) Take(current int64) (grad tensor.Vector, ok bool, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -129,13 +132,22 @@ func (a *Accumulator) Take(current int64) (grad tensor.Vector, ok bool, err erro
 			tau = g
 		}
 	}
+	var total float64
 	a.weights = a.weights[:0]
 	for _, it := range a.iters {
-		a.weights = append(a.weights, float64(it-(current-tau)+1))
+		w := float64(it - (current - tau) + 1)
+		a.weights = append(a.weights, w)
+		total += w
 	}
-	out, err := tensor.WeightedMean(a.grads, a.weights)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: local reduce: %w", err)
+	// Σ w_i·g_i / Σ w_i, accumulated from zero in buffer order: the
+	// operation sequence of tensor.WeightedMean, into the reused buffer.
+	if a.out == nil {
+		a.out = tensor.New(a.dim)
+	} else {
+		a.out.Zero()
+	}
+	for i, g := range a.grads {
+		_ = a.out.AddScaled(a.weights[i]/total, g) // lengths match: Put checks them
 	}
 	// Reset to null: after each AllReduce the inputs are overwritten so
 	// outdated gradients are never reused (Section 6). The copies are
@@ -146,7 +158,7 @@ func (a *Accumulator) Take(current int64) (grad tensor.Vector, ok bool, err erro
 	}
 	a.grads = a.grads[:0]
 	a.iters = a.iters[:0]
-	return out, true, nil
+	return a.out, true, nil
 }
 
 // OldestIter returns the iteration of the oldest buffered gradient, and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -253,4 +254,62 @@ func absf(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// TestAccumulatorTakeReusesBuffer: Take writes the weighted mean into one
+// reused buffer with tensor.WeightedMean's exact operation order (bitwise
+// equal), and a steady-state Put/Take cycle allocates nothing.
+func TestAccumulatorTakeReusesBuffer(t *testing.T) {
+	const dim = 1000
+	a, err := NewAccumulator(dim, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grads := make([]tensor.Vector, 3)
+	for i := range grads {
+		grads[i] = tensor.New(dim)
+		for j := range grads[i] {
+			grads[i][j] = float64((i+1)*(j+3)%17) / 7
+		}
+	}
+	var first tensor.Vector
+	for k := int64(0); k < 4; k++ {
+		for i, g := range grads {
+			if err := a.Put(k-int64(len(grads)-1-i), g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, ok, err := a.Take(k)
+		if err != nil || !ok {
+			t.Fatalf("Take(%d) = %v, %v", k, ok, err)
+		}
+		// Iterations k−2, k−1, k at τ = 2 weigh 1, 2, 3.
+		want, err := tensor.WeightedMean(grads, []float64{1, 2, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if math.Float64bits(out[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("Take(%d)[%d] = %v, WeightedMean gives %v", k, j, out[j], want[j])
+			}
+		}
+		if first == nil {
+			first = out
+		} else if &out[0] != &first[0] {
+			t.Fatalf("Take(%d) returned a fresh buffer", k)
+		}
+		out.Fill(-1) // the caller owns the buffer until the next Take
+	}
+	k := int64(10)
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = a.Put(k, grads[0])
+		_ = a.Put(k, grads[1])
+		if _, ok, err := a.Take(k); !ok || err != nil {
+			t.Fatal("steady-state Take failed")
+		}
+		k++
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Put/Take allocates %v times per cycle, want 0", allocs)
+	}
 }

@@ -148,7 +148,9 @@ func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, 
 		}
 	}
 
-	var lastPull tensor.Vector
+	// lastPull is the model the leader last adopted; delta and pulled are
+	// per-rank exchange buffers reused across exchanges.
+	var lastPull, delta, pulled tensor.Vector
 	period := int64(cfg.psEvery())
 	nGroups := int64(len(cfg.Groups))
 	exchanges := int64(0)
@@ -157,20 +159,22 @@ func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, 
 		if (k+1)%period != 0 {
 			return nil
 		}
-		dim := len(params)
-		pulled := tensor.New(dim)
+		if pulled == nil {
+			pulled = tensor.New(len(params))
+		}
 		if leader {
-			mu.Lock()
-			snapshot := params.Clone()
-			mu.Unlock()
 			if lastPull == nil {
 				// First exchange: baseline is the shared init.
 				lastPull, err = InitialParams(cfg.Train)
 				if err != nil {
 					return err
 				}
+				delta = tensor.New(len(params))
 			}
-			delta := snapshot.Clone()
+			// delta = params − lastPull, read under mu.
+			mu.Lock()
+			copy(delta, params)
+			mu.Unlock()
 			if err := delta.Sub(lastPull); err != nil {
 				return err
 			}

@@ -77,7 +77,12 @@ type TrainConfig struct {
 	// Algorithm pins the dense collective schedule of the replicated path
 	// (zero = AlgoAuto). The sharded path always runs the direct exchange;
 	// pinning AlgoRing on the replicated side makes the two paths
-	// bit-comparable at any vector size.
+	// bit-comparable at any vector size. Under AlgoAuto, a BSP worker whose
+	// average resolves to the pipelined fp64 ring fuses the optimizer step
+	// into it (collective.RingStepEligible): each rank steps and keeps
+	// optimizer state for 1/N of the model, bit-identical to the replicated
+	// update. A pinned schedule never fuses, so it always measures the
+	// replicated AllReduce-then-step.
 	Algorithm collective.Algorithm
 }
 
@@ -145,7 +150,8 @@ type Result struct {
 	MaxInFlight int
 	// OptStateBytes is this rank's persistent optimizer-state footprint —
 	// full-vector for the replicated path, one owned span under
-	// ShardedUpdate (the N× memory reduction the benchmarks record).
+	// ShardedUpdate or the fused ring step (the N× memory reduction the
+	// benchmarks record).
 	OptStateBytes int64
 }
 
@@ -375,9 +381,24 @@ func RunBSPWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 	n := mesh.Size()
 	dim := cfg.Model.Dim()
 
-	optim, err := cfg.newOptimizer(dim)
+	residual := cfg.residual(dim)
+	syncOpts := collective.Options{Algorithm: cfg.Algorithm, Compression: cfg.Compression, Residual: residual}
+	// When the average runs on the pipelined fp64 ring, the owner steps its
+	// completed chunk inside the ring and the gather circulates parameters:
+	// the optimizer and its state cover that span only, bit-identical to
+	// the replicated step (see collective.RingAllReduceStep).
+	fused := collective.RingStepEligible(n, dim, syncOpts)
+	lo, hi := 0, dim
+	if fused {
+		lo, hi = collective.RingStepSpan(n, rank, dim)
+	}
+	optim, err := cfg.newOptimizer(hi - lo)
 	if err != nil {
 		return nil, err
+	}
+	step := func(p, g tensor.Vector) error {
+		_, err := optim.Step(p, g, 1)
+		return err
 	}
 	src := rng.New(cfg.Seed)
 	params := tensor.New(dim)
@@ -386,7 +407,6 @@ func RunBSPWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 
 	res := &Result{Losses: make([]float64, 0, cfg.Iterations)}
 	grad := tensor.New(dim)
-	residual := cfg.residual(dim)
 	for k := int64(0); k < int64(cfg.Iterations); k++ {
 		batch := cfg.Batch(batchSrc)
 		loss, err := cfg.Model.Gradient(params, grad, batch)
@@ -411,12 +431,12 @@ func RunBSPWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 			_ = grad.AddScaled(float64(n), residual)
 			residual.Zero()
 		}
-		if err := collective.AllReduceOpts(mesh, k, grad, collective.OpAverage, collective.Options{
-			Algorithm: cfg.Algorithm, Compression: cfg.Compression, Residual: residual,
-		}); err != nil {
-			return nil, fmt.Errorf("rank %d iter %d: %w", rank, k, err)
+		if fused {
+			err = collective.RingAllReduceStep(mesh, k, grad, params, step)
+		} else if err = collective.AllReduceOpts(mesh, k, grad, collective.OpAverage, syncOpts); err == nil {
+			err = step(params, grad)
 		}
-		if _, err := optim.Step(params, grad, 1); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("rank %d iter %d: %w", rank, k, err)
 		}
 		res.Contributed++

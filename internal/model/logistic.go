@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/data"
 	"repro/internal/rng"
@@ -157,28 +156,41 @@ func accuracy(batch []int, ds *data.Dataset, k int, score func(tensor.Vector, []
 	ws := getWorkspace()
 	defer ws.release()
 	ws.probs = grow(ws.probs, ds.Classes)
-	ws.order = growInts(ws.order, ds.Classes)
-	scores, order := ws.probs, ws.order
+	scores := ws.probs
 	var top1, topK int
 	for _, idx := range batch {
 		ex := ds.Examples[idx]
 		score(ex.X, scores)
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return scores[order[a]] > scores[order[b]] })
-		if order[0] == ex.Label {
+		r := labelRank(scores, ex.Label)
+		if r == 0 {
 			top1++
 		}
-		for i := 0; i < k; i++ {
-			if order[i] == ex.Label {
-				topK++
-				break
-			}
+		if r < k {
+			topK++
 		}
 	}
 	n := float64(len(batch))
 	return float64(top1) / n, float64(topK) / n, nil
+}
+
+// labelRank returns the label's 0-based position in the classes ordered by
+// descending score, ties broken by class index: the classes scoring above
+// the label plus the equal-scoring classes with a lower index. That is the
+// order a stable sort of the index list gives, without sorting. A NaN label
+// score ranks last (len(scores)), so it never counts as a hit; a NaN score
+// on another class never outranks the label.
+func labelRank(scores []float64, label int) int {
+	s := scores[label]
+	if math.IsNaN(s) {
+		return len(scores)
+	}
+	r := 0
+	for j, x := range scores {
+		if x > s || (x == s && j < label) {
+			r++
+		}
+	}
+	return r
 }
 
 // All returns the index list [0, n) of a dataset — convenient for

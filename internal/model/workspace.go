@@ -3,8 +3,7 @@ package model
 import "sync"
 
 // workspace holds the per-call scratch buffers of the model hot paths
-// (hidden activations, class probabilities, backprop deltas, ranking
-// order). Calls borrow one from a shared pool instead of allocating —
+// (hidden activations, class probabilities, backprop deltas). Calls borrow one from a shared pool instead of allocating —
 // or, worse, sharing buffers across goroutines — which is what makes
 // Loss/Gradient/Accuracy safe for the engine's concurrent per-worker
 // fan-out. Every buffer is fully (re)written before it is read, so pooled
@@ -16,8 +15,7 @@ type workspace struct {
 	dots   []float64
 	// coef holds the MLP backward's per-example coefficients: one output
 	// row's scaled deltas, then the layer-1 scaled deltas (hidden × batch).
-	coef  []float64
-	order []int
+	coef []float64
 	// xs, hidRows and w2Rows are the operand lists of the multi-operand
 	// kernels: the batch's inputs, its activation rows and the W2 rows.
 	xs, hidRows, w2Rows [][]float64
@@ -43,14 +41,6 @@ func grow(buf []float64, n int) []float64 {
 		return buf[:n]
 	}
 	return make([]float64, n)
-}
-
-// growInts is grow for index buffers.
-func growInts(buf []int, n int) []int {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int, n)
 }
 
 // rowsOf returns buf filled with the n consecutive rows of length cols
